@@ -10,10 +10,15 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/blif"
+	"repro/internal/corpus"
 	"repro/internal/domino"
 	"repro/internal/flow"
 	"repro/internal/gen"
@@ -71,6 +76,53 @@ func BenchmarkTable2Row(b *testing.B) {
 			b.ReportMetric(c.PaperPwrSav, "paper%sav")
 		})
 	}
+}
+
+// BenchmarkDegradedRow runs one industry1 row through flow.RunCorpus
+// under a 20k BDD node budget (the exact engine, reordering on retry,
+// capped MP pairs, short sharded measurement). The row's exact build
+// trips the budget, so it walks the degradation chain; the MA search
+// runs once per row and only the engine-dependent stages re-run per
+// rung.
+func BenchmarkDegradedRow(b *testing.B) {
+	b.ReportAllocs()
+	dir := b.TempDir()
+	f, err := os.Create(filepath.Join(dir, "industry1.blif"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := blif.Write(f, &blif.Model{Network: gen.Industry1().Net}); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	entries, err := corpus.Discover(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cc := flow.CorpusConfig{Workers: 1, Base: flow.Config{
+		Workers:       1,
+		SimSeed:       1,
+		SimVectors:    256,
+		SimShards:     2,
+		MaxPairs:      24,
+		EstOpts:       power.Options{Method: power.Exact, Depth: 3, MaxFrontier: 8},
+		BDDNodeBudget: 20000,
+		BDDReorder:    flow.ReorderAuto,
+	}}
+	b.ResetTimer()
+	var row *flow.CorpusRow
+	for i := 0; i < b.N; i++ {
+		rows, err := flow.RunCorpus(context.Background(), entries, cc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if row = rows[0]; row.Err != "" {
+			b.Fatal(row.Err)
+		}
+	}
+	b.ReportMetric(float64(row.BudgetTrips), "trips")
 }
 
 // --- Figure 2: switching vs signal probability ------------------------

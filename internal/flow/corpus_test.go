@@ -7,11 +7,15 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/blif"
 	"repro/internal/corpus"
 	"repro/internal/flow"
+	"repro/internal/gen"
+	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -251,6 +255,72 @@ func TestRunCorpusTimeoutLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestRunCorpusCancelsRowHead: a row's engine-independent head
+// (prepare and the MA search) runs once, before the degradation rungs,
+// under its own token attached to the row's context. A per-circuit
+// timeout or a caller cancellation that fires while the MA search of a
+// large twin is running must still stop it: the row comes back
+// TimedOut well before the search could have finished, no rung runs,
+// and no goroutine outlives the run.
+func TestRunCorpusCancelsRowHead(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "industry3.blif"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := blif.Write(f, &blif.Model{Network: gen.Industry3().Net}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := corpus.Discover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := flow.Config{
+		SimVectors: 256, Workers: 1, BDDNodeBudget: 20000,
+		EstOpts: power.Options{Method: power.Exact},
+	}
+	// Parsing and preparing industry3 take milliseconds; its MA search
+	// takes seconds, so the deadline lands inside the MA stage.
+	const deadline = 300 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+	for _, mode := range []string{"timeout", "cancel"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cc := flow.CorpusConfig{Base: base, Workers: 1}
+		if mode == "timeout" {
+			cc.Timeout = deadline
+		} else {
+			time.AfterFunc(deadline, cancel)
+		}
+		start := time.Now()
+		rows, err := flow.RunCorpus(ctx, entries, cc)
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		r := rows[0]
+		if !r.TimedOut || r.Row != nil {
+			t.Fatalf("%s: head not cancelled: %+v", mode, r)
+		}
+		if r.Engine != "" || r.BudgetTrips != 0 {
+			t.Errorf("%s: a rung ran after the head was cancelled: engine %q, trips %d", mode, r.Engine, r.BudgetTrips)
+		}
+		if elapsed > deadline+time.Second {
+			t.Errorf("%s: cancelled row took %v; the MA stage did not observe its token", mode, elapsed)
+		}
+	}
+	stop := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline+2 {
+		if time.Now().After(stop) {
+			t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
 func TestRunCorpusPerCircuitOverrides(t *testing.T) {
 	dir := writeCorpus(t, map[string]string{
 		"a.blif": corpusCombBLIF,
@@ -260,11 +330,15 @@ func TestRunCorpusPerCircuitOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Configure runs on the worker goroutines, concurrently.
+	var mu sync.Mutex
 	seen := make(map[string]bool)
 	_, err = flow.RunCorpus(context.Background(), entries, flow.CorpusConfig{
 		Base: testCorpusConfig(),
 		Configure: func(c *corpus.Circuit, base flow.Config) flow.Config {
+			mu.Lock()
 			seen[c.Entry.Name] = true
+			mu.Unlock()
 			if c.Entry.Format == corpus.FormatPLA {
 				base.SimVectors = 64
 			}

@@ -329,47 +329,38 @@ func uniformProbs(n *logic.Network, p float64) []float64 {
 	return probs
 }
 
-// mapCellCountEvaluator scores a phase result by mapped cell count — the
-// MA objective.
-func mapCellCountEvaluator(lib domino.Library) phase.Evaluator {
-	return func(r *phase.Result) (float64, error) {
-		b, err := domino.Map(r, lib)
-		if err != nil {
-			return 0, err
-		}
-		return float64(b.CellCount()), nil
-	}
+// maStage is the engine-independent head every flow shares: a prepared
+// network, its per-input probabilities and the MA assignment. The MA
+// objective is the mapped cell count, which never reads the probability
+// engine, so a row computes this stage once and every rung of the
+// degradation chain re-enters after it, at MA finishing.
+type maStage struct {
+	net   *logic.Network
+	probs []float64
+	asg   phase.Assignment
+	res   *phase.Result
 }
 
-// synthesizeMAAssignment runs the MA phase search on a prepared network
-// — the single assignment-selection path shared by the combinational and
-// sequential flows. tok (nil = never cancelled) is polled by the search
-// at a bounded interval.
-func synthesizeMAAssignment(net *logic.Network, cfg Config, tok *budget.T) (phase.Assignment, *phase.Result, error) {
+// assignMA runs the MA phase search on a prepared network. tok (nil =
+// never cancelled) is polled by the search at a bounded interval; the
+// search builds no BDDs and runs no sim, so it never trips a budget.
+func assignMA(net *logic.Network, probs []float64, cfg Config, tok *budget.T) (*maStage, error) {
 	asg, res, _, err := phase.MinArea(net, phase.SearchOptions{
 		ExhaustiveLimit: cfg.ExhaustiveLimit,
-		Eval:            mapCellCountEvaluator(*cfg.Lib),
-		Workers:         cfg.Workers,
-		Budget:          tok,
+		Eval: func(r *phase.Result) (float64, error) {
+			b, err := domino.Map(r, *cfg.Lib)
+			if err != nil {
+				return 0, err
+			}
+			return float64(b.CellCount()), nil
+		},
+		Workers: cfg.Workers,
+		Budget:  tok,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("flow: MinArea: %w", err)
+		return nil, fmt.Errorf("flow: MinArea: %w", err)
 	}
-	return asg, res, nil
-}
-
-// SynthesizeMA runs the minimum-area baseline on a prepared network.
-func SynthesizeMA(net *logic.Network, cfg Config) (*Synthesis, error) {
-	cfg.defaults()
-	return synthesizeMA(net, cfg, nil)
-}
-
-func synthesizeMA(net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
-	asg, res, err := synthesizeMAAssignment(net, cfg, tok)
-	if err != nil {
-		return nil, err
-	}
-	return finishSynthesis(asg, res, net, cfg, tok)
+	return &maStage{net: net, probs: probs, asg: asg, res: res}, nil
 }
 
 // phaseScorer builds the candidate scorer of the configured scoring
@@ -425,16 +416,17 @@ func synthesizeMPAssignment(net *logic.Network, probs []float64, cfg Config, tok
 // configured search strategy) on a prepared network.
 func SynthesizeMP(net *logic.Network, cfg Config) (*Synthesis, error) {
 	cfg.defaults()
-	return synthesizeMP(net, cfg, nil)
+	return synthesizeMP(net, uniformProbs(net, cfg.InputProb), cfg, nil)
 }
 
-func synthesizeMP(net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
-	probs := uniformProbs(net, cfg.InputProb)
+// synthesizeMP is the combinational MP stage: the power-driven search,
+// then finishing, reporting the search's own estimate as EstPower.
+func synthesizeMP(net *logic.Network, probs []float64, cfg Config, tok *budget.T) (*Synthesis, error) {
 	asg, res, est, err := synthesizeMPAssignment(net, probs, cfg, tok)
 	if err != nil {
 		return nil, err
 	}
-	s, err := finishSynthesis(asg, res, net, cfg, tok)
+	s, err := finish(asg, res, probs, cfg, tok, true)
 	if err != nil {
 		return nil, err
 	}
@@ -451,129 +443,139 @@ func mapBlock(res *phase.Result, cfg Config) (*domino.Block, error) {
 	return b, nil
 }
 
-func finishSynthesis(asg phase.Assignment, res *phase.Result, net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
-	b, err := mapBlock(res, cfg)
-	if err != nil {
-		return nil, err
-	}
-	probs := uniformProbs(net, cfg.InputProb)
-	est, err := power.Estimate(b, probs, cfg.estOptions(tok))
-	if err != nil {
-		return nil, fmt.Errorf("flow: Estimate: %w", err)
-	}
-	rep, err := sim.Run(b, sim.Config{
+// simulate measures a block's power by Monte-Carlo simulation.
+func simulate(b *domino.Block, probs []float64, cfg Config, tok *budget.T) (*sim.Report, error) {
+	return sim.Run(b, sim.Config{
 		Vectors: cfg.SimVectors, Seed: cfg.SimSeed, InputProbs: probs,
 		Shards: cfg.SimShards, Workers: cfg.Workers, Kernel: cfg.SimKernel,
 		BlockWords: cfg.SimBlockWords, Budget: tok,
 	})
+}
+
+// finish is the one finishing stage of every synthesis: map the chosen
+// assignment, estimate its power under the configured engine and
+// measure it by simulation, both at the given per-input probabilities.
+// analyze adds the critical delay; the combinational flows set it, the
+// sequential flow reports none.
+func finish(asg phase.Assignment, res *phase.Result, probs []float64, cfg Config, tok *budget.T, analyze bool) (*Synthesis, error) {
+	b, err := mapBlock(res, cfg)
+	if err != nil {
+		return nil, err
+	}
+	est, err := power.Estimate(b, probs, cfg.estOptions(tok))
+	if err != nil {
+		return nil, fmt.Errorf("flow: Estimate: %w", err)
+	}
+	rep, err := simulate(b, probs, cfg, tok)
 	if err != nil {
 		return nil, fmt.Errorf("flow: sim: %w", err)
 	}
-	a := timing.Analyze(b, *cfg.Timing)
-	return &Synthesis{
-		Assignment: asg,
-		Block:      b,
-		Size:       b.CellCount(),
-		EstPower:   est.Total,
-		SimPower:   rep.Total,
-		Critical:   a.Critical,
-		MetTiming:  true,
-	}, nil
+	s := &Synthesis{Assignment: asg, Block: b, Size: b.CellCount(), EstPower: est.Total, SimPower: rep.Total, MetTiming: true}
+	if analyze {
+		s.Critical = timing.Analyze(b, *cfg.Timing).Critical
+	}
+	return s, nil
 }
 
-// RunCircuit executes the untimed (Table 1) flow on one benchmark.
-func RunCircuit(c gen.NamedCircuit, cfg Config) (*Row, error) {
-	cfg.defaults()
-	return runCircuit(c, cfg, nil)
+// circuitHead is the engine-independent head of a combinational row:
+// the MA stage and, timed, the clock target derived from it.
+type circuitHead struct {
+	c      gen.NamedCircuit
+	ma     *maStage
+	timed  bool
+	target float64
 }
 
-// runCircuit is RunCircuit under an optional cancellation/budget token.
-func runCircuit(c gen.NamedCircuit, cfg Config, tok *budget.T) (*Row, error) {
+// newCircuitHead runs the head: prepare, MA assignment, clock target.
+func newCircuitHead(c gen.NamedCircuit, cfg Config, timed bool, tok *budget.T) (*circuitHead, error) {
 	net, err := prepare(c.Net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	ma, err := synthesizeMA(net, cfg, tok)
+	ma, err := assignMA(net, uniformProbs(net, cfg.InputProb), cfg, tok)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	mp, err := synthesizeMP(net, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
+	h := &circuitHead{c: c, ma: ma, timed: timed}
+	if timed {
+		// Derive a realistic, feasible target: the fastest the MA
+		// circuit can be driven, relaxed by the slack factor.
+		probe, err := domino.Map(ma.res, *cfg.Lib)
+		if err != nil {
+			return nil, err
+		}
+		best, _ := timing.Tighten(probe, *cfg.Timing)
+		h.target = timing.TargetFromBaseline(best.Critical, cfg.Slack)
 	}
-	return assembleRow(c, ma, mp), nil
+	return h, nil
+}
+
+// tail runs the engine-dependent stages of a combinational row under
+// one rung's configuration and token: MA finishing, the MP search and
+// MP finishing, then (timed flow) resizing both to the clock target.
+func (h *circuitHead) tail(cfg Config, tok *budget.T) (*Row, error) {
+	ma, err := finish(h.ma.asg, h.ma.res, h.ma.probs, cfg, tok, true)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", h.c.Name, err)
+	}
+	mp, err := synthesizeMP(h.ma.net, h.ma.probs, cfg, tok)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", h.c.Name, err)
+	}
+	if h.timed {
+		if err := h.resize(ma, cfg, tok); err != nil {
+			return nil, fmt.Errorf("%s: MA resize: %w", h.c.Name, err)
+		}
+		if err := h.resize(mp, cfg, tok); err != nil {
+			return nil, fmt.Errorf("%s: MP resize: %w", h.c.Name, err)
+		}
+	}
+	return assembleRow(h.c, ma, mp), nil
+}
+
+// resize is the timed flow's last stage: size a finished synthesis to
+// the clock target, then measure it again.
+func (h *circuitHead) resize(s *Synthesis, cfg Config, tok *budget.T) error {
+	a, steps, err := timing.Resize(s.Block, *cfg.Timing, h.target)
+	s.Critical, s.ResizeSteps, s.MetTiming = a.Critical, steps, err == nil
+	rep, err := simulate(s.Block, h.ma.probs, cfg, tok)
+	if err != nil {
+		return err
+	}
+	s.SimPower = rep.Total
+	est, err := power.Estimate(s.Block, h.ma.probs, cfg.estOptions(tok))
+	if err != nil {
+		return err
+	}
+	s.EstPower = est.Total
+	// The timed flow reports *sized area* rather than cell count:
+	// resizing changes transistor widths, and the area cost of meeting
+	// timing is the quantity Table 2's Size column tracks.
+	s.Size = int(math.Round(s.Block.Area()))
+	return nil
+}
+
+// runCircuit runs a combinational row as its head plus one tail, with
+// no budget and no cancellation.
+func runCircuit(c gen.NamedCircuit, cfg Config, timed bool) (*Row, error) {
+	cfg.defaults()
+	h, err := newCircuitHead(c, cfg, timed, nil)
+	if err != nil {
+		return nil, err
+	}
+	return h.tail(cfg, nil)
+}
+
+// RunCircuit executes the untimed (Table 1) flow on one benchmark.
+func RunCircuit(c gen.NamedCircuit, cfg Config) (*Row, error) {
+	return runCircuit(c, cfg, false)
 }
 
 // RunCircuitTimed executes the Table 2 flow: both syntheses are resized
 // to a shared clock target derived from the fastest achievable
 // minimum-area implementation times the configured slack.
 func RunCircuitTimed(c gen.NamedCircuit, cfg Config) (*Row, error) {
-	cfg.defaults()
-	return runCircuitTimed(c, cfg, nil)
-}
-
-// runCircuitTimed is RunCircuitTimed under an optional
-// cancellation/budget token.
-func runCircuitTimed(c gen.NamedCircuit, cfg Config, tok *budget.T) (*Row, error) {
-	net, err := prepare(c.Net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ma, err := synthesizeMA(net, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
-	}
-	mp, err := synthesizeMP(net, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
-	}
-
-	// Derive a realistic, feasible target: the fastest the MA circuit
-	// can be driven, relaxed by the slack factor.
-	maRes, err := phase.Apply(net, ma.Assignment)
-	if err != nil {
-		return nil, err
-	}
-	probe, err := domino.Map(maRes, *cfg.Lib)
-	if err != nil {
-		return nil, err
-	}
-	best, _ := timing.Tighten(probe, *cfg.Timing)
-	target := timing.TargetFromBaseline(best.Critical, cfg.Slack)
-
-	probs := uniformProbs(net, cfg.InputProb)
-	resizeAndMeasure := func(s *Synthesis) error {
-		a, steps, err := timing.Resize(s.Block, *cfg.Timing, target)
-		s.Critical = a.Critical
-		s.ResizeSteps = steps
-		s.MetTiming = err == nil
-		rep, simErr := sim.Run(s.Block, sim.Config{
-			Vectors: cfg.SimVectors, Seed: cfg.SimSeed, InputProbs: probs,
-			Shards: cfg.SimShards, Workers: cfg.Workers, Kernel: cfg.SimKernel,
-			BlockWords: cfg.SimBlockWords, Budget: tok,
-		})
-		if simErr != nil {
-			return simErr
-		}
-		s.SimPower = rep.Total
-		est, estErr := power.Estimate(s.Block, probs, cfg.estOptions(tok))
-		if estErr != nil {
-			return estErr
-		}
-		s.EstPower = est.Total
-		// The timed flow reports *sized area* rather than cell count:
-		// resizing changes transistor widths, and the area cost of
-		// meeting timing is the quantity Table 2's Size column tracks.
-		s.Size = int(math.Round(s.Block.Area()))
-		return nil
-	}
-	if err := resizeAndMeasure(ma); err != nil {
-		return nil, fmt.Errorf("%s: MA resize: %w", c.Name, err)
-	}
-	if err := resizeAndMeasure(mp); err != nil {
-		return nil, fmt.Errorf("%s: MP resize: %w", c.Name, err)
-	}
-	return assembleRow(c, ma, mp), nil
+	return runCircuit(c, cfg, true)
 }
 
 func assembleRow(c gen.NamedCircuit, ma, mp *Synthesis) *Row {
@@ -584,13 +586,20 @@ func assembleRow(c gen.NamedCircuit, ma, mp *Synthesis) *Row {
 		PaperAreaPenaltyPct: c.PaperAreaPen,
 		PaperPowerSavingPct: c.PaperPwrSav,
 	}
+	row.AreaPenaltyPct, row.PowerSavingPct = penalties(ma, mp)
+	return row
+}
+
+// penalties returns the paper's "% Area Pen." and "% Pwr Sav." columns
+// computed from the measured values.
+func penalties(ma, mp *Synthesis) (areaPen, pwrSav float64) {
 	if ma.Size > 0 {
-		row.AreaPenaltyPct = 100 * float64(mp.Size-ma.Size) / float64(ma.Size)
+		areaPen = 100 * float64(mp.Size-ma.Size) / float64(ma.Size)
 	}
 	if ma.SimPower > 0 {
-		row.PowerSavingPct = 100 * (ma.SimPower - mp.SimPower) / ma.SimPower
+		pwrSav = 100 * (ma.SimPower - mp.SimPower) / ma.SimPower
 	}
-	return row
+	return areaPen, pwrSav
 }
 
 // RunTable1 regenerates Table 1 (untimed flow, PI probability 0.5) over

@@ -76,11 +76,10 @@ func TestMPNoWorseThanAllPositiveInEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := finishSynthesis(asg, res, net, cfg, nil)
+		s, err := finish(asg, res, probs, cfg, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = probs
 		return s.EstPower
 	}
 	allPos := evaluate(phase.AllPositive(net.NumOutputs()))

@@ -121,15 +121,25 @@ func degradeStages(cfg Config) []degradeStage {
 	return stages
 }
 
-// runDegraded drives one circuit down the degradation chain: each stage
-// runs under a fresh budget token attached to ctx, and only a BDD
-// node-budget trip advances to the next (cheaper) stage — cancellation
-// and real failures surface immediately. It returns the stage's result,
-// the engine name of the stage that produced it ("" = the configured
-// engine, untouched), and the total number of budget trips accumulated
-// across every attempted stage.
-func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budget.T) (T, error)) (result T, engine string, trips int, err error) {
+// runStaged runs one row as its stage sequence. The engine-independent
+// head runs once, under its own token attached to ctx; it builds no
+// BDDs and runs no sim, so it adds no trips. The engine-dependent tail
+// then walks the degradation chain: each rung re-enters at MA finishing
+// under a fresh token attached to ctx, and only a BDD node-budget trip
+// advances to the next (cheaper) rung — cancellation and real failures
+// surface immediately. It returns the tail's result, the engine name of
+// the rung that produced it ("" = the configured engine, untouched),
+// and the budget trips summed over the head and every attempted rung.
+func runStaged[H, T any](ctx context.Context, cfg Config, head func(*budget.T) (H, error), tail func(H, Config, *budget.T) (T, error)) (result T, engine string, trips int, err error) {
 	var zero T
+	tok := budget.New(cfg.BDDNodeBudget, cfg.SimVectorBudget)
+	stop := tok.AttachContext(ctx)
+	h, err := head(tok)
+	stop()
+	trips = tok.Trips()
+	if err != nil {
+		return zero, "", trips, err
+	}
 	stages := degradeStages(cfg)
 	for _, st := range stages {
 		scfg := cfg
@@ -138,7 +148,7 @@ func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budge
 		}
 		tok := budget.New(scfg.BDDNodeBudget, scfg.SimVectorBudget)
 		stop := tok.AttachContext(ctx)
-		result, err = run(scfg, tok)
+		result, err = tail(h, scfg, tok)
 		stop()
 		trips += tok.Trips()
 		if err == nil {
@@ -156,18 +166,15 @@ func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budge
 // degradation chain.
 func runCircuitDegraded(ctx context.Context, c gen.NamedCircuit, cfg Config, timed bool) (*Row, string, int, error) {
 	cfg.defaults()
-	return runDegraded(ctx, cfg, func(scfg Config, tok *budget.T) (*Row, error) {
-		if timed {
-			return runCircuitTimed(c, scfg, tok)
-		}
-		return runCircuit(c, scfg, tok)
-	})
+	return runStaged(ctx, cfg, func(tok *budget.T) (*circuitHead, error) {
+		return newCircuitHead(c, cfg, timed, tok)
+	}, (*circuitHead).tail)
 }
 
 // runSequentialDegraded is runCircuitDegraded for the sequential flow.
 func runSequentialDegraded(ctx context.Context, c *seq.Circuit, cfg Config) (*SequentialRow, string, int, error) {
 	cfg.defaults()
-	return runDegraded(ctx, cfg, func(scfg Config, tok *budget.T) (*SequentialRow, error) {
-		return runSequential(c, scfg, tok)
-	})
+	return runStaged(ctx, cfg, func(tok *budget.T) (*seqHead, error) {
+		return newSeqHead(c, cfg, tok)
+	}, (*seqHead).tail)
 }

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/budget"
-	"repro/internal/phase"
-	"repro/internal/power"
 	"repro/internal/seq"
 	"repro/internal/sgraph"
-	"repro/internal/sim"
 )
 
 // SequentialRow is the result of the sequential flow: the paper's full
@@ -31,12 +28,23 @@ type SequentialRow struct {
 // the steady-state probabilities as block input probabilities.
 func RunSequential(c *seq.Circuit, cfg Config) (*SequentialRow, error) {
 	cfg.defaults()
-	return runSequential(c, cfg, nil)
+	h, err := newSeqHead(c, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return h.tail(cfg, nil)
 }
 
-// runSequential is RunSequential under an optional cancellation/budget
-// token.
-func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, error) {
+// seqHead is the engine-independent head of a sequential row: the MFVS
+// cut, the partition, the steady-state probabilities and the MA
+// assignment of the partitioned block, plus the row fields they fix.
+type seqHead struct {
+	row SequentialRow
+	ma  *maStage
+}
+
+// newSeqHead runs the sequential head stages.
+func newSeqHead(c *seq.Circuit, cfg Config, tok *budget.T) (*seqHead, error) {
 	cut := c.Cut(sgraph.DefaultOptions())
 	part, err := c.Partition(cut)
 	if err != nil {
@@ -68,71 +76,40 @@ func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, e
 		}
 	}
 
-	net := Prepare(part.Block)
 	// Prepare preserves the input interface (inputs are never dropped),
-	// so blockProbs stays aligned.
-	row := &SequentialRow{
+	// so blockProbs stays aligned. Both syntheses run the combinational
+	// flow's stages, cone-table scoring and strategies included.
+	ma, err := assignMA(Prepare(part.Block), blockProbs, cfg, tok)
+	if err != nil {
+		return nil, fmt.Errorf("flow: sequential MA: %w", err)
+	}
+	return &seqHead{ma: ma, row: SequentialRow{
 		Name:         c.Comb.Name,
 		FFs:          len(c.FFs),
 		Cut:          len(cut),
 		PseudoInputs: part.PseudoInputCount(),
-	}
-
-	// Both phase searches route through the same scorer/strategy wiring
-	// as the combinational flow (synthesizeMAAssignment /
-	// synthesizeMPAssignment), so sequential rows pick up cone-table
-	// scoring and the pluggable strategies with no duplicated logic.
-	maAsg, maRes, err := synthesizeMAAssignment(net, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MA: %w", err)
-	}
-	ma, err := finishSynthesisProbs(maAsg, maRes, blockProbs, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MA: %w", err)
-	}
-	mpAsg, mpRes, _, err := synthesizeMPAssignment(net, blockProbs, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MP: %w", err)
-	}
-	mp, err := finishSynthesisProbs(mpAsg, mpRes, blockProbs, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MP: %w", err)
-	}
-	row.MA, row.MP = *ma, *mp
-	if ma.Size > 0 {
-		row.AreaPenaltyPct = 100 * float64(mp.Size-ma.Size) / float64(ma.Size)
-	}
-	if ma.SimPower > 0 {
-		row.PowerSavingPct = 100 * (ma.SimPower - mp.SimPower) / ma.SimPower
-	}
-	return row, nil
+	}}, nil
 }
 
-// finishSynthesisProbs is finishSynthesis with explicit per-input
-// probabilities (the sequential flow's pseudo-inputs are not uniform).
-func finishSynthesisProbs(asg phase.Assignment, res *phase.Result, probs []float64, cfg Config, tok *budget.T) (*Synthesis, error) {
-	b, err := mapBlock(res, cfg)
+// tail runs the engine-dependent stages of a sequential row under one
+// rung's configuration and token: MA finishing, the MP search and MP
+// finishing. Unlike the combinational flow, both syntheses report the
+// finishing estimate and no critical delay.
+func (h *seqHead) tail(cfg Config, tok *budget.T) (*SequentialRow, error) {
+	ma, err := finish(h.ma.asg, h.ma.res, h.ma.probs, cfg, tok, false)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flow: sequential MA: %w", err)
 	}
-	est, err := power.Estimate(b, probs, cfg.estOptions(tok))
+	mpAsg, mpRes, _, err := synthesizeMPAssignment(h.ma.net, h.ma.probs, cfg, tok)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flow: sequential MP: %w", err)
 	}
-	rep, err := sim.Run(b, sim.Config{
-		Vectors: cfg.SimVectors, Seed: cfg.SimSeed, InputProbs: probs,
-		Shards: cfg.SimShards, Workers: cfg.Workers, Kernel: cfg.SimKernel,
-		BlockWords: cfg.SimBlockWords, Budget: tok,
-	})
+	mp, err := finish(mpAsg, mpRes, h.ma.probs, cfg, tok, false)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flow: sequential MP: %w", err)
 	}
-	return &Synthesis{
-		Assignment: asg,
-		Block:      b,
-		Size:       b.CellCount(),
-		EstPower:   est.Total,
-		SimPower:   rep.Total,
-		MetTiming:  true,
-	}, nil
+	row := h.row
+	row.MA, row.MP = *ma, *mp
+	row.AreaPenaltyPct, row.PowerSavingPct = penalties(ma, mp)
+	return &row, nil
 }
